@@ -9,12 +9,21 @@ oracle raises.  Only the *data* lives in SQLite: a scratch database
 file (WAL mode, so pool readers never block the writer), with the
 engine AST translated to SQLite text by :mod:`repro.backends.dialect`.
 
+Statement handling — the prepared-statement cache, the
+``server_workers`` pool and its shutdown guard, the write path's cache
+bookkeeping, the batch skeleton and the stats — is
+:class:`repro.backends.base.Backend`'s, shared with the in-memory
+server.  This module keeps what is specific to SQLite: dialect
+translation at prepare time, statement execution (``_run_statement``),
+the ``IN (...)`` demux, the ``executemany`` insert batch, the
+connections and the mirror DDL.
+
 Design notes:
 
-* **Pool + thread-local connections.**  Autocommit statements run on a
-  ``server_workers``-sized pool, one SQLite connection per worker
-  thread — same submission shape as the in-memory server, so the
-  client's async pipeline (and its thread-count plateau) is unchanged.
+* **Thread-local connections.**  Autocommit statements run on the
+  shared worker pool, one SQLite connection per worker thread, so the
+  client's async pipeline (and its thread-count plateau) is the same as
+  on the in-memory server.
 * **Transactions are real.**  ``begin_transaction`` opens a dedicated
   connection and issues ``BEGIN``; commit/rollback issue real
   ``COMMIT``/``ROLLBACK``.  The engine's strict-2PL table locks
@@ -22,9 +31,9 @@ Design notes:
   conflict behavior (waits, ``TransactionTimeoutError``) matches the
   oracle, and SQLite's single-writer lock underneath never admits what
   2PL would forbid.  Write-versioning and uncommitted-write marks are
-  driven from this layer (the "client-tracked" invalidation mode: a
-  DB-API server cannot push), so the cache-consistency protocol is
-  byte-for-byte the in-memory one.
+  driven from the shared write path (the "client-tracked" invalidation
+  mode: a DB-API server cannot push), so the cache-consistency protocol
+  is byte-for-byte the in-memory one.
 * **Set-oriented dispatch maps to SQL.**  A coalesced batch over a
   ``col = ?`` SELECT executes once as ``WHERE col IN (...)`` and is
   demultiplexed per binding; INSERT batches go through ``executemany``
@@ -34,16 +43,12 @@ Design notes:
 
 from __future__ import annotations
 
-import itertools
 import os
 import shutil
 import sqlite3
 import tempfile
 import threading
 import weakref
-from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..db.catalog import Catalog
@@ -53,17 +58,13 @@ from ..db.errors import (
     DatabaseError,
     ParamCountError,
     PlanError,
-    ServerShutdownError,
-    StatementHandleError,
     TransactionStateError,
     TransactionTimeoutError,
 )
 from ..db.latency import INSTANT, LatencyMeter, LatencyProfile
-from ..db.plan import BindingOutcome, Planner, QueryResult, demuxable
+from ..db.plan import BindingOutcome, QueryResult
 from ..db.plan.expr_eval import RowEvaluator
 from ..db.plan.operators import _item_name
-from ..db.server import PreparedStatement, ServerStats
-from ..db.sql import parse
 from ..db.sql.ast_nodes import (
     BinaryOp,
     ColumnRef,
@@ -76,13 +77,11 @@ from ..db.sql.ast_nodes import (
     Star,
     Statement,
     UpdateStmt,
-    is_write,
 )
 from ..db.txn import ABORTED, COMMITTED, Transaction, TransactionManager
 from ..db.types import Column, ColumnType, Schema
-from .base import Backend
+from .base import Backend, PreparedStatement
 from .dialect import (
-    NAMED,
     PARAMSTYLES,
     ParamStyle,
     create_index_sql,
@@ -172,22 +171,27 @@ class SqliteBackend(Backend):
     """Executes the engine's SQL subset against a scratch SQLite file."""
 
     backend_name = "sqlite"
-
-    DEFAULT_MAX_PREPARED = 512
+    worker_prefix = "sqlite"
 
     def __init__(
         self,
         profile: LatencyProfile = INSTANT,
         meter: Optional[LatencyMeter] = None,
-        max_prepared: int = DEFAULT_MAX_PREPARED,
+        max_prepared: int = Backend.DEFAULT_MAX_PREPARED,
         default_executor: Optional[str] = None,
         paramstyle: Any = "named",
     ) -> None:
-        if max_prepared < 1:
-            raise ValueError(f"max_prepared must be >= 1, got {max_prepared}")
-        super().__init__(default_executor=default_executor)
-        self._profile = profile
-        self._meter = meter if meter is not None else LatencyMeter()
+        #: Schema mirror: an engine catalog holding every table's schema
+        #: (heaps stay empty — SQLite holds the rows).  Planning against
+        #: it reproduces the oracle's prepare-time and coercion errors.
+        self._mirror_disk = SimulatedDisk(INSTANT, LatencyMeter())
+        super().__init__(
+            Catalog(self._mirror_disk),
+            profile,
+            meter if meter is not None else LatencyMeter(),
+            max_prepared=max_prepared,
+            default_executor=default_executor,
+        )
         if isinstance(paramstyle, ParamStyle):
             self._style = paramstyle
         else:
@@ -205,31 +209,9 @@ class SqliteBackend(Backend):
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, self._tmpdir, True
         )
-        #: Schema mirror: an engine catalog holding every table's schema
-        #: (heaps stay empty — SQLite holds the rows).  Planning against
-        #: it reproduces the oracle's prepare-time and coercion errors.
-        self._mirror_disk = SimulatedDisk(INSTANT, LatencyMeter())
-        self._catalog = Catalog(self._mirror_disk)
-        self._planner = Planner(self._catalog)
-        self._pool = ThreadPoolExecutor(
-            max_workers=profile.server_workers,
-            thread_name_prefix=f"sqlite-{profile.name}",
-        )
         self._local = threading.local()
         self._connections: List[sqlite3.Connection] = []
-        self._lock = threading.Lock()
-        self.max_prepared = max_prepared
-        self._prepared: Dict[int, PreparedStatement] = {}
-        self._plan_cache: "OrderedDict[str, PreparedStatement]" = OrderedDict()
-        self._statement_ids = itertools.count(1)
-        self._catalog_version = 0
-        self._active = 0
-        self._shutdown = False
-        self.stats = ServerStats()
-        self.txns = _SqliteTransactionManager(self)
-        self.txns.invalidation_hook = self.broadcast_invalidation
-        self.txns.data_change_hook = self.note_data_change
-        self.txns.release_hook = self.clear_uncommitted
+        self._use_transactions(_SqliteTransactionManager(self))
         # First connection creates the file and flips it to WAL, so
         # pool readers never block the (single) writer.
         self._connection()
@@ -237,18 +219,6 @@ class SqliteBackend(Backend):
     # ------------------------------------------------------------------
     # connections
     # ------------------------------------------------------------------
-    @property
-    def profile(self) -> LatencyProfile:
-        return self._profile
-
-    @property
-    def catalog(self) -> Catalog:
-        return self._catalog
-
-    @property
-    def meter(self) -> LatencyMeter:
-        return self._meter
-
     @property
     def path(self) -> str:
         return self._path
@@ -305,211 +275,29 @@ class SqliteBackend(Backend):
             raise DatabaseError(str(exc)) from exc
 
     # ------------------------------------------------------------------
-    # preparation (same bounded LRU contract as the in-memory server)
+    # execution hooks
     # ------------------------------------------------------------------
-    def prepare(self, sql: str) -> PreparedStatement:
-        with self._lock:
-            cached = self._plan_cache.get(sql)
-            if cached is not None and cached.catalog_version == self._catalog_version:
-                self._plan_cache.move_to_end(sql)
-                return cached
-        ast = parse(sql)
-        plan = self._planner.plan(ast)
-        translated = translate_statement(ast, self._style)
-        with self._lock:
-            previous = self._plan_cache.get(sql)
-            if previous is not None:
-                if previous.catalog_version == self._catalog_version:
-                    self._plan_cache.move_to_end(sql)
-                    return previous
-                self._prepared.pop(previous.statement_id, None)
-            prepared = SqlitePreparedStatement(
-                next(self._statement_ids),
-                sql,
-                ast,
-                plan,
-                self._catalog_version,
-                self,
-                translated,
-            )
-            self._prepared[prepared.statement_id] = prepared
-            self._plan_cache[sql] = prepared
-            self._plan_cache.move_to_end(sql)
-            self.stats.statements_prepared += 1
-            while len(self._plan_cache) > self.max_prepared:
-                _sql, evicted = self._plan_cache.popitem(last=False)
-                self._prepared.pop(evicted.statement_id, None)
-                self.stats.evictions += 1
-        return prepared
-
-    def prepared(self, statement_id: int) -> PreparedStatement:
-        with self._lock:
-            try:
-                return self._prepared[statement_id]
-            except KeyError:
-                raise StatementHandleError(
-                    f"unknown prepared statement id {statement_id}"
-                ) from None
-
-    def invalidate_plans(self) -> None:
-        """Force re-planning (called after out-of-band DDL)."""
-        with self._lock:
-            self._catalog_version += 1
-        self.broadcast_invalidation(None)
-
-    # ------------------------------------------------------------------
-    # submission (pool-bounded, same future shape as the oracle)
-    # ------------------------------------------------------------------
-    def _require_running(self) -> None:
-        with self._lock:
-            if self._shutdown:
-                raise ServerShutdownError("server is shut down")
-
-    def submit(
-        self,
-        sql: str,
-        params: Sequence = (),
-        txn: Optional[Transaction] = None,
-        executor: Optional[str] = None,
-    ) -> "Future[QueryResult]":
-        executor = self.resolve_executor(executor)
-        self._require_running()
-        return self._pool.submit(
-            self._run_sql, sql, tuple(params), txn, executor
+    def _plan(self, sql: str, ast: Statement) -> PreparedStatement:
+        return SqlitePreparedStatement(
+            0,
+            sql,
+            ast,
+            self._planner.plan(ast),
+            0,
+            self,
+            translate_statement(ast, self._style),
         )
-
-    def submit_prepared(
-        self,
-        prepared: PreparedStatement,
-        params: Sequence = (),
-        txn: Optional[Transaction] = None,
-        span=None,
-        executor: Optional[str] = None,
-    ) -> "Future[QueryResult]":
-        executor = self.resolve_executor(executor)
-        self._require_running()
-        return self._pool.submit(
-            self._run_prepared, prepared, tuple(params), txn, span, executor
-        )
-
-    def submit_prepared_batch(
-        self,
-        prepared: PreparedStatement,
-        bindings: Sequence[Sequence],
-        txn: Optional[Transaction] = None,
-        span=None,
-        executor: Optional[str] = None,
-    ) -> "Future[List[BindingOutcome]]":
-        executor = self.resolve_executor(executor)
-        self._require_running()
-        snapshot = [tuple(binding) for binding in bindings]
-        return self._pool.submit(
-            self._run_prepared_batch, prepared, snapshot, txn, span, executor
-        )
-
-    def begin_transaction(self) -> Transaction:
-        """Start an explicit transaction (2PL locks over a real BEGIN)."""
-        self._require_running()
-        return self.txns.begin()
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def _run_sql(
-        self,
-        sql: str,
-        params: tuple,
-        txn: Optional[Transaction] = None,
-        executor: Optional[str] = None,
-    ) -> QueryResult:
-        return self._run_prepared(self.prepare(sql), params, txn, executor=executor)
-
-    def _run_prepared(
-        self,
-        prepared: PreparedStatement,
-        params: tuple,
-        txn: Optional[Transaction] = None,
-        span=None,
-        executor: Optional[str] = None,
-    ) -> QueryResult:
-        exec_span = (
-            span.child("server.execute", statement_id=prepared.statement_id)
-            if span is not None
-            else None
-        )
-        try:
-            return self._execute_prepared(
-                prepared, params, txn, exec_span, executor
-            )
-        except BaseException as exc:
-            if exec_span is not None:
-                exec_span.set("error", repr(exc))
-            raise
-        finally:
-            if exec_span is not None:
-                exec_span.end()
-
-    def _execute_prepared(
-        self,
-        prepared: PreparedStatement,
-        params: tuple,
-        txn: Optional[Transaction],
-        exec_span=None,
-        executor: Optional[str] = None,
-    ) -> QueryResult:
-        executor = self.resolve_executor(executor)
-        with self._lock:
-            stale = prepared.catalog_version != self._catalog_version
-        if stale:
-            prepared = self.prepare(prepared.sql)
-        if txn is not None:
-            self._lock_for_txn(txn, prepared.ast)
-        write = is_write(prepared.ast)
-        table = getattr(prepared.ast, "table", None) if write else None
-        if write:
-            # Same mark-then-bump order as the in-memory write path (and
-            # deliberately *before* execution): a concurrent cached read
-            # overlapping the write window is caught by the reader's
-            # token-then-check sequence either way.
-            if txn is not None and txn.note_write(table):
-                self.mark_uncommitted(table)
-            self.note_data_change(table)
-        with self._lock:
-            self._active += 1
-            if self._active > self.stats.peak_concurrency:
-                self.stats.peak_concurrency = self._active
-        try:
-            result = self._run_statement(prepared, params, txn)
-            if exec_span is not None:
-                exec_span.set("write", write)
-                exec_span.set("executor", executor)
-                exec_span.set("backend", self.backend_name)
-                rows = getattr(result, "rowcount", None)
-                if rows is not None:
-                    exec_span.set("rows", rows)
-            with self._lock:
-                self.stats.statements_executed += 1
-                if write:
-                    self.stats.writes_executed += 1
-                    if isinstance(
-                        prepared.ast, (CreateTableStmt, CreateIndexStmt)
-                    ):
-                        self._catalog_version += 1
-            if write and txn is None:
-                # Autocommit writes broadcast immediately; transactional
-                # writes defer to the commit boundary (see the manager).
-                self.broadcast_invalidation(table)
-            return result
-        finally:
-            with self._lock:
-                self._active -= 1
 
     def _run_statement(
         self,
         prepared: PreparedStatement,
         params: tuple,
         txn: Optional[Transaction],
+        executor: Optional[str] = None,
+        exec_span=None,
     ) -> QueryResult:
+        if exec_span is not None:
+            exec_span.set("backend", self.backend_name)
         ast = prepared.ast
         _check_params(ast.param_count, params)
         self._validate_refs(ast)
@@ -735,109 +523,32 @@ class SqliteBackend(Backend):
     # ------------------------------------------------------------------
     # set-oriented execution
     # ------------------------------------------------------------------
-    def _run_prepared_batch(
-        self,
-        prepared: PreparedStatement,
-        bindings: List[tuple],
-        txn: Optional[Transaction] = None,
-        span=None,
-        executor: Optional[str] = None,
-    ) -> List[BindingOutcome]:
-        if not bindings:
-            return []
-        executor = self.resolve_executor(executor)
-        with self._lock:
-            stale = prepared.catalog_version != self._catalog_version
-        if stale:
-            prepared = self.prepare(prepared.sql)
-        if demuxable(prepared.plan):
-            return self._run_select_batch(
-                prepared, bindings, txn, span, executor
-            )
-        if isinstance(prepared.ast, InsertStmt) and txn is None:
-            outcomes = self._run_insert_batch_executemany(prepared, bindings)
-            if outcomes is not None:
-                return outcomes
-        # Per-binding fallback: each binding keeps exact single-statement
-        # semantics (stats, locks, invalidation broadcasts) — only the
-        # transport batched.
-        outcomes = []
-        for binding in bindings:
-            try:
-                outcomes.append(
-                    self._run_prepared(prepared, binding, txn, span, executor)
-                )
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    def _run_select_batch(
+    def _demux_select(
         self,
         prepared: "SqlitePreparedStatement",
         bindings: List[tuple],
         txn: Optional[Transaction],
-        span,
         executor: str,
+        exec_span=None,
     ) -> List[BindingOutcome]:
-        """A demuxable (SELECT) batch: one batched call in the stats —
-        executed as a single ``WHERE key IN (...)`` statement when the
-        statement has the point-lookup shape, else per-binding."""
-        exec_span = (
-            span.child(
-                "server.execute",
-                statement_id=prepared.statement_id,
-                demux=True,
-                bindings=len(bindings),
+        """A demuxable (SELECT) batch: executed as a single ``WHERE key
+        IN (...)`` statement when the statement has the point-lookup
+        shape, else per-binding."""
+        key_column = self._in_demux_key(prepared.ast)
+        if exec_span is not None:
+            # Same attribute vocabulary as the oracle's batch span:
+            # one shared IN-scan vs per-binding probes.
+            exec_span.set(
+                "strategy", "scan" if key_column is not None else "probe"
             )
-            if span is not None
-            else None
+            exec_span.set("executor", executor)
+            exec_span.set("backend", self.backend_name)
+        if key_column is not None:
+            return self._demux_via_in(prepared, key_column, bindings, txn)
+        return self._per_binding(
+            bindings,
+            lambda binding: self._run_statement(prepared, binding, txn),
         )
-        if txn is not None:
-            self._lock_for_txn(txn, prepared.ast)
-        with self._lock:
-            self._active += 1
-            if self._active > self.stats.peak_concurrency:
-                self.stats.peak_concurrency = self._active
-        try:
-            key_column = self._in_demux_key(prepared.ast)
-            if exec_span is not None:
-                # Same attribute vocabulary as the oracle's batch span:
-                # one shared IN-scan vs per-binding probes.
-                exec_span.set(
-                    "strategy", "scan" if key_column is not None else "probe"
-                )
-                exec_span.set("executor", executor)
-                exec_span.set("backend", self.backend_name)
-            if key_column is not None:
-                outcomes = self._demux_via_in(
-                    prepared, key_column, bindings, txn
-                )
-            else:
-                outcomes = []
-                for binding in bindings:
-                    try:
-                        outcomes.append(
-                            self._run_statement(prepared, binding, txn)
-                        )
-                    except Exception as exc:
-                        outcomes.append(exc)
-            with self._lock:
-                # Same accounting as the oracle's demux path: one
-                # statement answered the whole batch.
-                self.stats.statements_executed += 1
-                self.stats.batched_calls += 1
-                self.stats.batched_bindings += len(bindings)
-                self.stats.scans_saved += len(bindings) - 1
-            return outcomes
-        except BaseException as exc:
-            if exec_span is not None:
-                exec_span.set("error", repr(exc))
-            raise
-        finally:
-            if exec_span is not None:
-                exec_span.end()
-            with self._lock:
-                self._active -= 1
 
     @staticmethod
     def _in_demux_key(stmt: Statement) -> Optional[str]:
@@ -925,7 +636,7 @@ class SqliteBackend(Backend):
             outcomes.append(QueryResult(columns=columns, rows=list(matches)))
         return outcomes
 
-    def _run_insert_batch_executemany(
+    def _write_batch(
         self, prepared: "SqlitePreparedStatement", bindings: List[tuple]
     ) -> Optional[List[BindingOutcome]]:
         """INSERT batches map to ``executemany`` under a savepoint.
@@ -937,6 +648,8 @@ class SqliteBackend(Backend):
         row (and only it) carries the error.
         """
         stmt = prepared.ast
+        if not isinstance(stmt, InsertStmt):
+            return None
         info = self._catalog.table(stmt.table)
         sql = self._insert_sql(stmt, info.heap.schema)
         outcomes: List[BindingOutcome] = [None] * len(bindings)
@@ -949,47 +662,29 @@ class SqliteBackend(Backend):
                 good.append(position)
             except Exception as exc:
                 outcomes[position] = exc
-        if rows:
-            table = stmt.table
-            for _ in good:
-                self.note_data_change(table)
 
-            def run(connection):
-                connection.execute("SAVEPOINT repro_batch")
-                try:
-                    connection.executemany(sql, rows)
-                except sqlite3.Error:
-                    connection.execute("ROLLBACK TO repro_batch")
-                    connection.execute("RELEASE repro_batch")
-                    return False
-                connection.execute("RELEASE repro_batch")
-                return True
-
+        def run(connection):
+            connection.execute("SAVEPOINT repro_batch")
             try:
-                inserted = self._run_sqlite(None, run)
+                connection.executemany(sql, rows)
+            except sqlite3.Error:
+                connection.execute("ROLLBACK TO repro_batch")
+                connection.execute("RELEASE repro_batch")
+                return False
+            connection.execute("RELEASE repro_batch")
+            return True
+
+        def apply():
+            try:
+                return self._run_sqlite(None, run)
             except Exception:
-                inserted = False
-            if not inserted:
-                return None
-            with self._lock:
-                self.stats.statements_executed += len(good)
-                self.stats.writes_executed += len(good)
-            self.broadcast_invalidation(table)
+                return False
+
+        if rows and not self._write_rows(stmt.table, len(good), apply):
+            return None
         for position in good:
             outcomes[position] = QueryResult(rowcount=1)
         return outcomes
-
-    # ------------------------------------------------------------------
-    # transactions / locking (shared with the oracle)
-    # ------------------------------------------------------------------
-    def _lock_for_txn(self, txn: Transaction, ast: Statement) -> None:
-        if isinstance(ast, (CreateTableStmt, CreateIndexStmt)):
-            raise TransactionStateError(
-                "DDL inside an explicit transaction is not supported"
-            )
-        table = getattr(ast, "table", None)
-        if table is not None:
-            self.txns.lock_for_statement(txn, table, write=is_write(ast))
 
     # ------------------------------------------------------------------
     # schema mirroring (Database replicates out-of-band DDL/loads here)
@@ -1040,19 +735,8 @@ class SqliteBackend(Backend):
         return len(coerced)
 
     # ------------------------------------------------------------------
-    def stats_snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            snap = dict(asdict(self.stats))
-            snap["prepared_cached"] = len(self._plan_cache)
-            snap["registered_caches"] = self.ledger.cache_count
-            snap["active"] = self._active
-        return snap
-
-    # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        with self._lock:
-            self._shutdown = True
-        self._pool.shutdown(wait=wait)
+        super().shutdown(wait=wait)
         with self._lock:
             connections = list(self._connections)
             self._connections.clear()
@@ -1062,8 +746,3 @@ class SqliteBackend(Backend):
             except sqlite3.Error:  # pragma: no cover - close is best-effort
                 pass
         self._finalizer()
-
-    @property
-    def is_shutdown(self) -> bool:
-        with self._lock:
-            return self._shutdown

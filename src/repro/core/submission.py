@@ -22,9 +22,9 @@ A cache hit therefore resolves without a thread (or task) hop in every
 runtime: the handle comes back already completed.
 
 Invalidation is **not** handled here.  Writes invalidate server-side:
-the pipeline registers its cache with the server
-(:meth:`DatabaseServer.register_cache`), and the server broadcasts
-per-table invalidations from its write path — inside the
+the pipeline registers its cache with the server's ledger
+(:class:`~repro.backends.base.CacheInvalidationLedger`), and the server
+broadcasts per-table invalidations from its write path — inside the
 transaction-commit boundary for transactional writes — so a write
 through *any* connection (cached, cache-less, or transactional)
 invalidates every registered cache.
@@ -1128,7 +1128,7 @@ class SubmissionPipeline:
             DispatchCoalescer(self, window=coalesce_window) if coalesce else None
         )
         if cache is not None:
-            server.register_cache(cache)
+            server.ledger.register_cache(cache)
 
     @property
     def coalescer(self) -> Optional[DispatchCoalescer]:
@@ -1452,11 +1452,12 @@ class SubmissionPipeline:
         except TypeError:
             return self._BYPASS
         tables = tables_of_statement(prepared.ast)
-        token = self._server.read_validity(tables)
-        if self._server.has_uncommitted_writes(tables):
+        ledger = self._server.ledger
+        token = ledger.read_validity(tables)
+        if ledger.has_uncommitted_writes(tables):
             return self._BYPASS
         return (
             (prepared.sql, bound),
             tables,
-            lambda: self._server.read_validity(tables) == token,
+            lambda: ledger.read_validity(tables) == token,
         )

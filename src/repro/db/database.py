@@ -279,7 +279,7 @@ class Database:
         registers with the *default* backend (``REPRO_BACKEND`` else
         memory) — the store parameterless ``connect()`` calls write
         through."""
-        self.backend().register_cache(cache)
+        self.backend().ledger.register_cache(cache)
 
     # ------------------------------------------------------------------
     # administration

@@ -103,10 +103,10 @@ class TestCommitBoundary:
                 writer.execute_update(BUMP, (1,))
                 # Uncommitted: marked, visible to the validity check,
                 # but no broadcast yet.
-                assert store.has_uncommitted_writes(["t"])
+                assert store.ledger.has_uncommitted_writes(["t"])
                 assert cache.stats.invalidations == 0
                 writer.commit()
-                assert not store.has_uncommitted_writes(["t"])
+                assert not store.ledger.has_uncommitted_writes(["t"])
                 assert cache.stats.invalidations >= 1
                 assert reader.execute_query(READ, (1,)).scalar() == 11
         finally:
@@ -123,11 +123,11 @@ class TestCommitBoundary:
             writer = db.connect(async_workers=1, backend=name)
             with reader, writer:
                 assert reader.execute_query(READ, (2,)).scalar() == 20
-                token = store.read_validity(["t"])
+                token = store.ledger.read_validity(["t"])
                 writer.begin()
                 writer.execute_update(BUMP, (2,))
                 writer.rollback()
-                assert not store.has_uncommitted_writes(["t"])
+                assert not store.ledger.has_uncommitted_writes(["t"])
                 # No broadcast — the entry survives and still serves
                 # the (correct, restored) value...
                 assert cache.stats.invalidations == 0
@@ -135,7 +135,7 @@ class TestCommitBoundary:
                 assert cache.stats.hits >= 1
                 # ...but validity tokens moved, so any result computed
                 # DURING the doomed transaction cannot publish.
-                assert store.read_validity(["t"]) != token
+                assert store.ledger.read_validity(["t"]) != token
         finally:
             db.close()
 
@@ -194,7 +194,7 @@ class TestLedgerIsolation:
             with db.connect(
                 async_workers=1, result_cache=cache, backend="sqlite"
             ):
-                assert db.backend("sqlite").registered_cache_count == 1
-                assert db.backend("memory").registered_cache_count == 0
+                assert db.backend("sqlite").ledger.cache_count == 1
+                assert db.backend("memory").ledger.cache_count == 0
         finally:
             db.close()

@@ -81,7 +81,7 @@ class TestServerSideInvalidation:
         cache = ResultCache(capacity=8)
         first = users_db.connect(result_cache=cache)
         second = users_db.connect(result_cache=cache)
-        assert users_db.backend().registered_cache_count == 1
+        assert users_db.backend().ledger.cache_count == 1
         first.close()
         second.close()
 
@@ -145,16 +145,15 @@ class TestServerSideInvalidation:
         cache = ResultCache(capacity=16)
         pipeline_server = users_db.backend()  # the store connects use
         lease = cache.acquire((READ_USER, (7,)), tables=["users"])
-        token = pipeline_server.read_validity(["users"])
+        token = pipeline_server.ledger.read_validity(["users"])
         writer = users_db.connect()
         writer.begin()
         writer.execute_update(WRITE_USER, [99, 7])
         dirty = writer.server.execute(READ_USER, (7,)).scalar()  # in-window read
         writer.rollback()
-        assert pipeline_server.read_validity(["users"]) != token
-        cache.complete(
-            lease, dirty, retain=pipeline_server.read_validity(["users"]) == token
-        )
+        assert pipeline_server.ledger.read_validity(["users"]) != token
+        retain = pipeline_server.ledger.read_validity(["users"]) == token
+        cache.complete(lease, dirty, retain=retain)
         assert (READ_USER, (7,)) not in cache
         writer.close()
 

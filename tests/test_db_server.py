@@ -1,4 +1,9 @@
-"""Unit tests: server worker pool, prepared statements, shutdown."""
+"""Unit tests: server worker pool, prepared statements, shutdown.
+
+The store-contract classes run against the in-memory server and, through
+their ``...Sqlite`` subclasses, against the sqlite store: the class
+attribute ``store`` picks which one the ``server`` fixture returns.
+"""
 
 import threading
 import time
@@ -17,32 +22,46 @@ def loaded(db):
     return db
 
 
+@pytest.fixture
+def server(request, loaded):
+    """The store under test, named by the test class's ``store``."""
+    return loaded.backend(request.cls.store)
+
+
 class TestPreparedStatements:
-    def test_prepare_caches_by_text(self, loaded):
-        first = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
-        second = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
+    store = "memory"
+
+    def test_prepare_caches_by_text(self, server):
+        first = server.prepare("SELECT v FROM t WHERE id = ?")
+        second = server.prepare("SELECT v FROM t WHERE id = ?")
         assert first is second
 
-    def test_execute_prepared(self, loaded):
-        prepared = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
-        assert loaded.server.submit_prepared(prepared, (7,)).result().scalar() == 7
+    def test_execute_prepared(self, server):
+        prepared = server.prepare("SELECT v FROM t WHERE id = ?")
+        assert server.submit_prepared(prepared, (7,)).result().scalar() == 7
 
-    def test_prepared_lookup_by_id(self, loaded):
-        prepared = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
-        assert loaded.server.prepared(prepared.statement_id) is prepared
+    def test_prepared_lookup_by_id(self, server):
+        prepared = server.prepare("SELECT v FROM t WHERE id = ?")
+        assert server.prepared(prepared.statement_id) is prepared
 
-    def test_unknown_statement_id(self, loaded):
+    def test_unknown_statement_id(self, server):
         with pytest.raises(StatementHandleError):
-            loaded.server.prepared(424242)
+            server.prepared(424242)
 
-    def test_stale_plan_replanned_after_ddl(self, loaded):
-        prepared = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
-        loaded.server.execute("CREATE INDEX ix ON t (id)")
+    def test_stale_plan_replanned_after_ddl(self, server):
+        prepared = server.prepare("SELECT v FROM t WHERE id = ?")
+        server.execute("CREATE INDEX ix ON t (id)")
         # Executing the stale handle still works (it re-prepares).
-        assert loaded.server.submit_prepared(prepared, (3,)).result().scalar() == 3
+        assert server.submit_prepared(prepared, (3,)).result().scalar() == 3
+
+
+class TestPreparedStatementsSqlite(TestPreparedStatements):
+    store = "sqlite"
 
 
 class TestConcurrency:
+    store = "memory"
+
     def test_worker_pool_limits_concurrency(self):
         profile = LatencyProfile(
             name="tiny",
@@ -62,22 +81,23 @@ class TestConcurrency:
         try:
             db.create_table("t", ("id", "int"))
             db.bulk_load("t", [(1,)])
+            store = db.backend(self.store)
             futures = [
-                db.server.submit("SELECT count(*) FROM t") for _ in range(6)
+                store.submit("SELECT count(*) FROM t") for _ in range(6)
             ]
             for future in futures:
                 assert future.result().scalar() == 1
-            assert db.server.stats.peak_concurrency <= 2
+            assert store.stats.peak_concurrency <= store.profile.server_workers
         finally:
             db.close()
 
-    def test_parallel_queries_from_many_threads(self, loaded):
+    def test_parallel_queries_from_many_threads(self, server):
         errors = []
 
         def worker():
             try:
                 for i in range(20):
-                    value = loaded.server.execute(
+                    value = server.execute(
                         "SELECT v FROM t WHERE id = ?", (i % 50,)
                     ).scalar()
                     assert value == i % 50
@@ -93,46 +113,89 @@ class TestConcurrency:
 
     def test_concurrent_inserts_all_land(self, db):
         db.create_table("t", ("id", "int"))
+        store = db.backend(self.store)
 
         def worker(base):
             for i in range(25):
-                db.server.execute("INSERT INTO t VALUES (?)", (base + i,))
+                store.execute("INSERT INTO t VALUES (?)", (base + i,))
 
         threads = [threading.Thread(target=worker, args=(i * 25,)) for i in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert db.server.execute("SELECT count(*) FROM t").scalar() == 100
-        ids = db.server.execute("SELECT count(DISTINCT id) FROM t").scalar()
+        assert store.execute("SELECT count(*) FROM t").scalar() == 100
+        ids = store.execute("SELECT count(DISTINCT id) FROM t").scalar()
         assert ids == 100
 
 
-class TestShutdown:
-    def test_submit_after_shutdown_rejected(self, loaded):
-        loaded.server.shutdown()
-        with pytest.raises(ServerShutdownError):
-            loaded.server.submit("SELECT count(*) FROM t")
+class TestConcurrencySqlite(TestConcurrency):
+    store = "sqlite"
 
-    def test_is_shutdown_flag(self, loaded):
-        assert not loaded.server.is_shutdown
-        loaded.server.shutdown()
-        assert loaded.server.is_shutdown
+
+class TestShutdown:
+    store = "memory"
+
+    def test_submit_after_shutdown_rejected(self, server):
+        server.shutdown()
+        with pytest.raises(ServerShutdownError):
+            server.submit("SELECT count(*) FROM t")
+
+    def test_is_shutdown_flag(self, server):
+        assert not server.is_shutdown
+        server.shutdown()
+        assert server.is_shutdown
+
+    @pytest.mark.parametrize("submit", ["submit", "submit_prepared_batch"])
+    def test_shutdown_between_check_and_handoff(self, server, monkeypatch, submit):
+        # Force the interleaving: shutdown lands after the submit passed
+        # its shutdown check but before the pool accepts the work.
+        pool_submit = server._pool.submit
+
+        def racing_submit(*args, **kwargs):
+            server.shutdown(wait=False)
+            return pool_submit(*args, **kwargs)
+
+        monkeypatch.setattr(server._pool, "submit", racing_submit)
+        sql = "SELECT v FROM t WHERE id = ?"
+        with pytest.raises(ServerShutdownError):
+            if submit == "submit":
+                server.submit(sql, (1,))
+            else:
+                server.submit_prepared_batch(server.prepare(sql), [(1,)])
+
+
+class TestShutdownSqlite(TestShutdown):
+    store = "sqlite"
 
 
 class TestStats:
-    def test_statement_counters(self, loaded):
-        before = loaded.server.stats.statements_executed
-        loaded.server.execute("SELECT count(*) FROM t")
-        loaded.server.execute("INSERT INTO t VALUES (999, 1)")
-        assert loaded.server.stats.statements_executed == before + 2
-        assert loaded.server.stats.writes_executed >= 1
+    store = "memory"
+
+    def test_statement_counters(self, server):
+        before = server.stats.statements_executed
+        server.execute("SELECT count(*) FROM t")
+        server.execute("INSERT INTO t VALUES (999, 1)")
+        assert server.stats.statements_executed == before + 2
+        assert server.stats.writes_executed >= 1
 
     def test_io_report_shape(self, loaded):
         loaded.server.execute("SELECT count(*) FROM t")
         report = loaded.io_report()
         assert set(report) == {"latency_totals_s", "buffer", "disk", "scans", "server"}
         assert report["server"]["executed"] >= 1
+
+
+class TestStatsSqlite(TestStats):
+    store = "sqlite"
+    #: The database's I/O report covers the in-memory server only.
+    test_io_report_shape = None
+
+
+def test_stats_snapshot_keys_match_across_stores(loaded):
+    memory = loaded.backend("memory").stats_snapshot()
+    sqlite = loaded.backend("sqlite").stats_snapshot()
+    assert set(memory) == set(sqlite)
 
 
 class TestDatabaseFacade:

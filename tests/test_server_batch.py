@@ -1,8 +1,15 @@
-"""The set-oriented server path: binding demux, fallback, prepared LRU."""
+"""The set-oriented server path: binding demux, fallback, prepared LRU.
+
+Fault isolation, fallback and the prepared LRU are store contract: those
+classes also run against the sqlite store through their ``...Sqlite``
+subclasses (the class attribute ``store`` names the store under test).
+"""
 
 import pytest
 
+from repro.backends import SqliteBackend
 from repro.db import Database, INSTANT
+from repro.db.server import DatabaseServer
 from repro.db.errors import ParamCountError, StatementHandleError
 
 
@@ -12,6 +19,12 @@ def grouped(db):
     db.create_table("t", ("a", "int"), ("grp", "int"))
     db.bulk_load("t", [(i, i % 4) for i in range(40)])
     return db
+
+
+@pytest.fixture
+def server(request, grouped):
+    """The store under test, named by the test class's ``store``."""
+    return grouped.backend(request.cls.store)
 
 
 def run_batch(server, sql, bindings, txn=None):
@@ -104,9 +117,11 @@ class TestDemuxSingleScan:
 
 
 class TestFaultIsolationAndFallback:
-    def test_bad_binding_faults_only_its_slot(self, grouped):
+    store = "memory"
+
+    def test_bad_binding_faults_only_its_slot(self, server):
         outcomes = run_batch(
-            grouped.server,
+            server,
             "SELECT count(*) FROM t WHERE grp = ?",
             [(0,), (1, 2), (2,)],
         )
@@ -114,21 +129,20 @@ class TestFaultIsolationAndFallback:
         assert isinstance(outcomes[1], ParamCountError)
         assert outcomes[2].scalar() == 10
 
-    def test_bad_limit_faults_only_its_binding(self, grouped):
+    def test_bad_limit_faults_only_its_binding(self, server):
         outcomes = run_batch(
-            grouped.server,
+            server,
             "SELECT a FROM t WHERE grp = ? LIMIT ?",
             [(0, 2), (0, -1)],
         )
         assert len(outcomes[0]) == 2
         assert isinstance(outcomes[1], Exception)
 
-    def test_empty_batch(self, grouped):
-        assert run_batch(grouped.server, "SELECT a FROM t WHERE grp = ?", []) == []
-        assert grouped.server.stats.batched_calls == 0
+    def test_empty_batch(self, server):
+        assert run_batch(server, "SELECT a FROM t WHERE grp = ?", []) == []
+        assert server.stats.batched_calls == 0
 
-    def test_write_batch_falls_back_per_binding(self, grouped):
-        server = grouped.server
+    def test_write_batch_falls_back_per_binding(self, grouped, server):
         before = server.stats.statements_executed
         outcomes = run_batch(
             server,
@@ -141,16 +155,16 @@ class TestFaultIsolationAndFallback:
         assert server.stats.statements_executed == before + 2
         assert server.stats.writes_executed == 2
         assert server.stats.batched_calls == 0
-        conn = grouped.connect()
+        conn = grouped.connect(backend=self.store)
         assert (
             conn.execute_query("SELECT count(*) FROM t WHERE grp = 9").scalar()
             == 2
         )
         conn.close()
 
-    def test_write_fallback_isolates_failures(self, grouped):
+    def test_write_fallback_isolates_failures(self, server):
         outcomes = run_batch(
-            grouped.server,
+            server,
             "INSERT INTO t (a, grp) VALUES (?, ?)",
             [(200, 5), (201,), (202, 5)],
         )
@@ -158,8 +172,7 @@ class TestFaultIsolationAndFallback:
         assert isinstance(outcomes[1], ParamCountError)
         assert outcomes[2].rowcount == 1
 
-    def test_batch_inside_transaction_reads_under_its_locks(self, grouped):
-        server = grouped.server
+    def test_batch_inside_transaction_reads_under_its_locks(self, server):
         txn = server.begin_transaction()
         try:
             outcomes = run_batch(
@@ -171,28 +184,29 @@ class TestFaultIsolationAndFallback:
         finally:
             txn.commit()
 
-    def test_stale_prepared_replans_for_batch(self, grouped):
-        server = grouped.server
+    def test_stale_prepared_replans_for_batch(self, grouped, server):
         prepared = server.prepare("SELECT count(*) FROM t WHERE grp = ?")
         grouped.create_index("ix_late", "t", "grp")  # bumps catalog version
         outcomes = server.submit_prepared_batch(prepared, [(0,)]).result()
         assert outcomes[0].scalar() == 10
 
 
-class TestPreparedLru:
-    def _server(self, db, cap):
-        db.server.max_prepared = cap
-        return db.server
+class TestFaultIsolationAndFallbackSqlite(TestFaultIsolationAndFallback):
+    store = "sqlite"
 
-    def test_eviction_counts_and_bounds_cache(self, grouped):
-        server = self._server(grouped, 3)
+
+class TestPreparedLru:
+    store = "memory"
+
+    def test_eviction_counts_and_bounds_cache(self, server):
+        server.max_prepared = 3
         for n in range(6):
             server.prepare(f"SELECT count(*) FROM t WHERE a = {n}")
         assert server.stats.evictions >= 3
         assert len(server._plan_cache) <= 3
 
-    def test_swept_statement_still_executes(self, grouped):
-        server = self._server(grouped, 2)
+    def test_swept_statement_still_executes(self, server):
+        server.max_prepared = 2
         first = server.prepare("SELECT count(*) FROM t WHERE grp = 0")
         for n in range(4):
             server.prepare(f"SELECT count(*) FROM t WHERE a = {n}")
@@ -206,8 +220,8 @@ class TestPreparedLru:
             server.submit_prepared_batch(first, [()]).result()[0].scalar() == 10
         )
 
-    def test_reprepare_after_eviction_replans(self, grouped):
-        server = self._server(grouped, 2)
+    def test_reprepare_after_eviction_replans(self, server):
+        server.max_prepared = 2
         sql = "SELECT count(*) FROM t WHERE grp = 1"
         first = server.prepare(sql)
         for n in range(4):
@@ -218,8 +232,8 @@ class TestPreparedLru:
         assert server.stats.statements_prepared == prepared_before + 1
         assert again.plan.execute is not None  # usable plan
 
-    def test_lru_order_keeps_hot_statements(self, grouped):
-        server = self._server(grouped, 2)
+    def test_lru_order_keeps_hot_statements(self, server):
+        server.max_prepared = 2
         hot = server.prepare("SELECT count(*) FROM t WHERE grp = 0")
         server.prepare("SELECT count(*) FROM t WHERE grp = 1")
         # Touch the hot statement so the next insert evicts the other.
@@ -228,14 +242,19 @@ class TestPreparedLru:
         assert server._plan_cache.get(hot.sql) is hot
 
     def test_invalid_cap_rejected(self, grouped):
-        from repro.db.server import DatabaseServer
-
         with pytest.raises(ValueError):
-            DatabaseServer(
-                grouped.catalog,
-                grouped.buffer,
-                grouped.scans,
-                grouped.profile,
-                grouped.meter,
-                max_prepared=0,
-            )
+            if self.store == "memory":
+                DatabaseServer(
+                    grouped.catalog,
+                    grouped.buffer,
+                    grouped.scans,
+                    grouped.profile,
+                    grouped.meter,
+                    max_prepared=0,
+                )
+            else:
+                SqliteBackend(max_prepared=0)
+
+
+class TestPreparedLruSqlite(TestPreparedLru):
+    store = "sqlite"
